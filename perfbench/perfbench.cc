@@ -84,23 +84,35 @@ constexpr int64_t kTailStepMs = kWatermarkEvery * kInterEventMs;
 
 // Store options put every workload in the paper's regime: write buffers far
 // smaller than the live window state, so state spills and is read back.
-FlowKvOptions SpillingStore(uint64_t write_buffer_bytes, uint64_t read_chunk_bytes) {
+FlowKvOptions SpillingStore(uint64_t write_buffer_bytes, uint64_t read_chunk_bytes,
+                            int partitions = 2) {
   FlowKvOptions o;
   o.write_buffer_bytes = write_buffer_bytes;
   o.read_chunk_bytes = read_chunk_bytes;
+  o.num_partitions = partitions;
   return o;
 }
+
+// q7 drains a window one store partition at a time, and each partition's
+// results leave together, so a window's result latencies form one step per
+// partition. With the default 2 partitions the top 1% of a round's results
+// all came from its single slowest window, and p99 read like a maximum. With
+// 8 partitions the top step of a window holds about 12 of its 100 results,
+// so a round's p99 spans about four windows. The write buffers total the same
+// 512 KiB (8 x 64 KiB), and each partition's window log (about 190 KB) is
+// still read in one pass, so the bytes written and read do not change.
+FlowKvOptions Q7Store() { return SpillingStore(64 << 10, 1 << 20, 8); }
 
 std::vector<Workload> Workloads() {
   return {
       {"q7-aar", "q7", QueryKind::kTumblingMax, false, false, 100, 180'000, 0, 720'000,
-       SpillingStore(256 << 10, 1 << 20)},
+       Q7Store()},
       {"q11median-aur-spill", "q11-median", QueryKind::kSessionMedian, false, false, 20'000, 0,
        240'000, 40'000, SpillingStore(64 << 10, 64 << 10)},
       {"q11-rmw-remote", "q11", QueryKind::kSessionCount, true, false, 2'000, 0, 30'000, 15'000,
        SpillingStore(16 << 10, 64 << 10)},
       {"q7-aar-push", "q7", QueryKind::kTumblingMax, true, true, 100, 180'000, 0, 360'000,
-       SpillingStore(256 << 10, 1 << 20)},
+       Q7Store()},
   };
 }
 
@@ -517,6 +529,46 @@ enum class Mutation {
   kMiscountIo,
 };
 
+// Result latencies of a whole run, counted per microsecond. A run's
+// percentiles come from all of its measured results, so the memory for them
+// must not grow with the number of rounds: that would show in peak_rss_mb,
+// and a faster program, fitting more rounds into a run, would read as one
+// that uses more memory. Counts up to 131 ms take a fixed 512 KiB, allocated
+// and touched before the first round; slower results are kept exactly.
+// A percentile is exact to within half a microsecond.
+class LatencyCounts {
+ public:
+  LatencyCounts() : counts_(kSlots, 0) {}
+  void Add(int64_t ns) {
+    ++n_;
+    const uint64_t us = static_cast<uint64_t>(std::max<int64_t>(ns, 0)) / 1000;
+    if (us < kSlots) {
+      ++counts_[us];
+    } else {
+      slow_.push_back(ns);
+    }
+  }
+  uint64_t size() const { return n_; }
+  // The sample of rank floor(q * (n - 1)), in nanoseconds: the middle of its
+  // microsecond, or the exact value above the counted range.
+  double Quantile(double q) {
+    if (n_ == 0) return 0;
+    uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(n_ - 1));
+    for (size_t us = 0; us < kSlots; ++us) {
+      if (rank < counts_[us]) return static_cast<double>(us) * 1e3 + 500;
+      rank -= counts_[us];
+    }
+    std::nth_element(slow_.begin(), slow_.begin() + static_cast<long>(rank), slow_.end());
+    return static_cast<double>(slow_[rank]);
+  }
+
+ private:
+  static constexpr size_t kSlots = 1 << 17;
+  std::vector<uint32_t> counts_;
+  std::vector<int64_t> slow_;
+  uint64_t n_ = 0;
+};
+
 // Receives final outputs; stamps each with its latency from the start of
 // the engine call that produced it.
 class ResultSink : public Collector {
@@ -900,13 +952,6 @@ double Quantile(std::vector<int64_t>* v, double q) {
   return static_cast<double>((*v)[k]);
 }
 
-double Median(std::vector<double> v) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
-}
-
 double Ratio(double num, double den) { return den == 0 ? 0 : num / den; }
 
 void WriteSpans(const std::string& path, const std::vector<Span>& spans) {
@@ -948,12 +993,13 @@ int RunBenchmark(const Args& args) {
 
   Runner runner(*w, args.seed, args.work_dir, args.backend);
   double setup_s = 0;
-  RoundStats measured, traced, untraced;
-  // Result latency percentiles of each measured untraced round. A run
-  // reports their medians, so one round disturbed by the host cannot move
-  // the run's tail.
-  std::vector<double> round_p50, round_p99;
-  size_t samples = 0, min_round_samples = SIZE_MAX;
+  RoundStats traced, untraced;
+  // Result latencies of every measured untraced round. A run reports
+  // percentiles over all of them. The host's speed drifts over tens of
+  // seconds; pooled percentiles follow the share of a run spent slow, where
+  // a median of per-round percentiles jumps between the fast and slow values.
+  LatencyCounts measured_latencies;
+  size_t min_round_samples = SIZE_MAX;
   uint64_t attempted = 0;
   int rounds = 0;
   const int64_t budget_ns = static_cast<int64_t>(args.seconds * 1e9);
@@ -982,17 +1028,17 @@ int RunBenchmark(const Args& args) {
       return 1;
     }
     attempted += st.events;
-    std::fprintf(stderr, "round %d: %.0f events/s\n", rounds, st.events / (st.proc_ns / 1e9));
+    std::fprintf(stderr, "round %d: %.0f events/s, result latency p50 %.3f ms, p99 %.3f ms\n",
+                 rounds, st.events / (st.proc_ns / 1e9), Quantile(&latencies, 0.50) / 1e6,
+                 Quantile(&latencies, 0.99) / 1e6);
     if (!error.empty()) {
       std::fprintf(stderr, "%s round %d: check failed: %s\n", w->name, rounds, error.c_str());
       std::printf("%s\n", MetricsJson().Line(false, attempted, 0).c_str());
       return 1;
     }
     if (!warmup && !timed) {
-      samples += latencies.size();
       min_round_samples = std::min(min_round_samples, latencies.size());
-      round_p50.push_back(Quantile(&latencies, 0.50));
-      round_p99.push_back(Quantile(&latencies, 0.99));
+      for (int64_t ns : latencies) measured_latencies.Add(ns);
     }
     if (!warmup) {
       RoundStats& into = timed ? traced : untraced;
@@ -1018,8 +1064,9 @@ int RunBenchmark(const Args& args) {
   if (!args.trace) {
     const RoundStats& u = untraced;
     const double events = static_cast<double>(u.events);
-    const double p50 = Median(round_p50) / 1e6;
-    const double p99 = Median(round_p99) / 1e6;
+    const uint64_t samples = measured_latencies.size();
+    const double p50 = measured_latencies.Quantile(0.50) / 1e6;
+    const double p99 = measured_latencies.Quantile(0.99) / 1e6;
     m.Add("events_per_s", events / (static_cast<double>(u.proc_ns) / 1e9), "events/s");
     m.Add("result_latency_p50_ms", p50, "ms");
     m.Add("result_latency_p99_ms", p99, "ms");
@@ -1030,7 +1077,7 @@ int RunBenchmark(const Args& args) {
     m.Add("peak_rss_mb", PeakRssMb(), "MB");
     m.Add("setup_s", setup_s, "s");
     std::printf(
-        "%s: %d rounds (1 warm-up), %.0f events measured, %zu result latency samples, "
+        "%s: %d rounds (1 warm-up), %.0f events measured, %" PRIu64 " result latency samples, "
         "at least %zu per round\n",
         w->name, rounds, events, samples, min_round_samples);
   } else {
